@@ -132,9 +132,9 @@ var dropoutSeedCounter atomic.Uint64
 // NOTE: the mask is drawn per Forward call and recorded in the scratch, so
 // Backward must be called before the next Forward on the same workspace —
 // the invariant the Network training loop maintains. Evaluation paths
-// (Loss/Accuracy) run Forward only, which draws masks too; for faithful
-// eval-time behaviour set Eval to true on a copy of the layer or keep
-// dropout out of evaluation networks.
+// (Loss/Accuracy) run the forward pass only, which draws masks too; for
+// faithful eval-time behaviour set Eval to true on a copy of the layer or
+// keep dropout out of evaluation networks.
 type Dropout struct {
 	Dim  int
 	Rate float64

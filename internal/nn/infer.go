@@ -18,10 +18,10 @@ import (
 // storage — valid until the next use of ws, so callers consume (or copy)
 // rows before reusing the workspace. pv may be any View: flat final
 // parameters, or a leased segmented view of the live sharded store.
-// Networks whose layers all have batched kernels run the blocked-GEMM chain
-// allocation-free in steady state (the workspace's batch buffers grow
-// monotonically); other networks fall back to per-example ForwardView into
-// a freshly allocated output.
+// Networks whose layers all have batched kernels run the blocked-GEMM chain;
+// other networks fall back to per-example ForwardView. Either way the
+// output lives in workspace buffers that grow monotonically, so steady-state
+// calls allocate nothing.
 func (n *Network) ForwardBatch(pv paramvec.View, xs [][]float64, ws *Workspace) tensor.Mat {
 	B := len(xs)
 	if B == 0 {
@@ -36,7 +36,10 @@ func (n *Network) ForwardBatch(pv paramvec.View, xs [][]float64, ws *Workspace) 
 		}
 	}
 	if n.blayers == nil {
-		out := tensor.MatFrom(B, n.outDim, make([]float64, B*n.outDim))
+		if len(ws.logits) < B*n.outDim {
+			ws.logits = make([]float64, B*n.outDim)
+		}
+		out := tensor.MatFrom(B, n.outDim, ws.logits[:B*n.outDim])
 		for r, x := range xs {
 			copy(out.Row(r), n.ForwardView(pv, x, ws))
 		}

@@ -126,6 +126,13 @@ type Workspace struct {
 	// batch holds the batch-shaped buffers of the GEMM gradient path,
 	// sized lazily to the largest batch seen (see batch.go).
 	batch batchBuffers
+	// evalX and evalY stage one evalChunk of row pointers and labels for
+	// Loss and Accuracy (forEachLogits).
+	evalX [][]float64
+	evalY []int
+	// logits is ForwardBatch's output on networks without batched kernels,
+	// grown to the largest batch seen.
+	logits []float64
 }
 
 // NewWorkspace allocates a workspace for this network.
@@ -136,6 +143,8 @@ func (n *Network) NewWorkspace() *Workspace {
 		scratch: make([]any, len(n.layers)),
 		probs:   make([]float64, n.outDim),
 		stitch:  make([][]float64, len(n.layers)),
+		evalX:   make([][]float64, evalChunk),
+		evalY:   make([]int, evalChunk),
 	}
 	ws.acts[0] = make([]float64, n.inDim)
 	ws.deltas[0] = make([]float64, n.inDim)
@@ -316,25 +325,51 @@ func (n *Network) BatchLossGradPerExample(pv paramvec.View, grad []float64, ds *
 	return totalLoss * invB
 }
 
+// evalChunk is the row count of one evaluation forward pass: Loss and
+// Accuracy push the selected rows through ForwardBatch this many at a time.
+// On the paper MLP over 256 rows, chunks of 16 to 256 rows all measured
+// within 15% of each other (BenchmarkLossEval, 2-vCPU AMD EPYC); 32 is the
+// paper-scale training minibatch, so a workspace shared with training keeps
+// its batch buffers at their training size.
+const evalChunk = 32
+
+// forEachLogits runs the forward pass over the dataset rows selected by
+// indices (every row when indices is nil), evalChunk rows per ForwardBatch
+// call, and hands fn each chunk's logits (one row per example, aliasing ws)
+// with the chunk's labels. The row pointers and labels are staged in the
+// workspace, so steady-state evaluation allocates nothing.
+func (n *Network) forEachLogits(params []float64, ds *data.Dataset, indices []int, ws *Workspace, fn func(logits tensor.Mat, ys []int)) {
+	pv := paramvec.FlatView(params)
+	rows := len(indices)
+	if indices == nil {
+		rows = ds.Len()
+	}
+	for lo := 0; lo < rows; lo += evalChunk {
+		B := min(evalChunk, rows-lo)
+		for r := 0; r < B; r++ {
+			i := lo + r
+			if indices != nil {
+				i = indices[i]
+			}
+			ws.evalX[r], ws.evalY[r] = ds.X[i], ds.Y[i]
+		}
+		fn(n.ForwardBatch(pv, ws.evalX[:B], ws), ws.evalY[:B])
+	}
+}
+
 // Loss evaluates the mean cross-entropy over the samples selected by
-// indices (all samples when indices is nil). Evaluation-only: no gradient.
+// indices (all samples when indices is nil), or NaN when none are selected.
+// Evaluation-only: no gradient. The rows run through the batched forward
+// chain in evalChunk-row blocks.
 func (n *Network) Loss(params []float64, ds *data.Dataset, indices []int, ws *Workspace) float64 {
 	var total float64
 	count := 0
-	eval := func(i int) {
-		logits := n.Forward(params, ds.X[i], ws)
-		total += softmaxCE(logits, ws.probs, ds.Y[i])
-		count++
-	}
-	if indices == nil {
-		for i := 0; i < ds.Len(); i++ {
-			eval(i)
+	n.forEachLogits(params, ds, indices, ws, func(logits tensor.Mat, ys []int) {
+		for r, y := range ys {
+			total += softmaxCE(logits.Row(r), ws.probs, y)
 		}
-	} else {
-		for _, i := range indices {
-			eval(i)
-		}
-	}
+		count += len(ys)
+	})
 	if count == 0 {
 		return math.NaN()
 	}
@@ -345,22 +380,14 @@ func (n *Network) Loss(params []float64, ds *data.Dataset, indices []int, ws *Wo
 // whose argmax prediction matches the label.
 func (n *Network) Accuracy(params []float64, ds *data.Dataset, indices []int, ws *Workspace) float64 {
 	correct, count := 0, 0
-	eval := func(i int) {
-		logits := n.Forward(params, ds.X[i], ws)
-		if tensor.ArgMax(logits) == ds.Y[i] {
-			correct++
+	n.forEachLogits(params, ds, indices, ws, func(logits tensor.Mat, ys []int) {
+		for r, y := range ys {
+			if tensor.ArgMax(logits.Row(r)) == y {
+				correct++
+			}
 		}
-		count++
-	}
-	if indices == nil {
-		for i := 0; i < ds.Len(); i++ {
-			eval(i)
-		}
-	} else {
-		for _, i := range indices {
-			eval(i)
-		}
-	}
+		count += len(ys)
+	})
 	if count == 0 {
 		return 0
 	}

@@ -7,12 +7,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"leashedsgd/internal/faultinject"
+	"leashedsgd/internal/paramvec"
+	"leashedsgd/internal/sgd"
 )
 
 func jsonBody(t *testing.T, x []float64) io.Reader {
@@ -179,38 +182,70 @@ func TestHealthzDegradedFlip(t *testing.T) {
 	}
 }
 
+// gatedSource blocks every read until the test closes release, announcing
+// on entered (buffered, so later reads never block on it) when the
+// dispatcher is inside a read.
+type gatedSource struct {
+	StaticSource
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedSource) ReadParams(l *paramvec.Lease, scratch []float64, fn func(paramvec.View)) sgd.ReadMeta {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.release
+	return g.StaticSource.ReadParams(l, scratch, fn)
+}
+
 // TestOverloadedHTTPStatus maps ErrOverloaded through the HTTP handler: a
-// full queue answers 429 with a Retry-After hint.
+// full queue answers 429 with a Retry-After hint. The dispatcher is held
+// inside a gated read, so both slots are provably taken before the probe.
 func TestOverloadedHTTPStatus(t *testing.T) {
-	s, predict, x := slowServer(t, Config{MaxBatch: 1, MaxDelay: -1, Queue: 1}, 50*time.Millisecond)
+	net, static := staticFixture(t)
+	src := &gatedSource{StaticSource: static, entered: make(chan struct{}, 1), release: make(chan struct{})}
+	s, err := New(net, src, Config{MaxBatch: 1, MaxDelay: -1, Queue: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
+	x := make([]float64, net.InDim())
 
-	// Fill the dispatcher (one in flight) and the queue (one waiting).
+	// Fill the dispatcher (one request held in the gated read) and then
+	// the queue (one request waiting).
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() { defer wg.Done(); predict(x) }()
-	}
-	// Now a direct HTTP predict must shed. Retry a few times to dodge the
-	// startup race where neither slot is occupied yet.
-	got429 := false
-	for try := 0; try < 20 && !got429; try++ {
-		resp, err := http.Post(srv.URL+"/predict", "application/json",
-			jsonBody(t, x))
-		if err != nil {
-			t.Fatal(err)
+	predict := func() {
+		defer wg.Done()
+		if _, err := s.Predict(x); err != nil {
+			t.Errorf("held predict: %v", err)
 		}
-		got429 = resp.StatusCode == http.StatusTooManyRequests
-		if got429 && resp.Header.Get("Retry-After") == "" {
-			t.Fatal("429 without Retry-After")
-		}
-		resp.Body.Close()
 	}
+	wg.Add(1)
+	go predict()
+	<-src.entered
+	wg.Add(1)
+	go predict()
+	for len(s.reqs) < cap(s.reqs) {
+		runtime.Gosched()
+	}
+
+	resp, err := http.Post(srv.URL+"/predict", "application/json", jsonBody(t, x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("predict against a full queue = %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("429 without Retry-After")
+	}
+	close(src.release)
 	wg.Wait()
-	if !got429 {
-		t.Fatal("never observed a 429 from a saturated server")
-	}
 }
 
 // BenchmarkServeOverload is the acceptance bench: 16 closed-loop clients

@@ -371,7 +371,9 @@ func (s *Server) dispatch() {
 			logits = s.net.ForwardBatch(pv, xs, ws)
 		})
 		B := len(pend)
-		now := time.Now()
+		// Count the batch before replying, so a caller that has its
+		// answer always finds it in Stats.
+		s.stats.observe(pend, time.Now(), meta)
 		for i, r := range pend {
 			probs := make([]float64, s.net.OutDim())
 			nn.SoftmaxInto(logits.Row(i), probs)
@@ -389,7 +391,6 @@ func (s *Server) dispatch() {
 				Batch:            B,
 			}}
 		}
-		s.stats.observe(pend, now, meta)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -125,6 +126,41 @@ func TestBatcherCoalesces(t *testing.T) {
 		t.Fatalf("mean batch = %v; coalescing never engaged", st.MeanBatch)
 	}
 	t.Logf("batches=%d meanBatch=%.1f p50=%v p99=%v", st.Batches, st.MeanBatch, st.P50, st.P99)
+}
+
+// Stats counts a request before its caller gets the answer: read right
+// after any Predict returns, Requests covers every answer returned so far.
+func TestStatsCountAnsweredRequests(t *testing.T) {
+	net, src := staticFixture(t)
+	s, err := New(net, src, Config{MaxBatch: 4, MaxDelay: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	const clients = 4
+	const perClient = 200
+	x := make([]float64, net.InDim())
+	var returned atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				if _, err := s.Predict(x); err != nil {
+					t.Errorf("predict: %v", err)
+					return
+				}
+				n := returned.Add(1)
+				if got := s.Stats().Requests; got < n {
+					t.Errorf("Stats().Requests = %d after %d answers were returned", got, n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestCloseRejectsAndDrains(t *testing.T) {

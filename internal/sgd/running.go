@@ -70,9 +70,10 @@ type Running struct {
 }
 
 // Start validates the dense configuration exactly like Run and launches the
-// workers, auxiliary goroutines and monitor, returning immediately with a
-// handle on the live run. The dense-representation checks live here; the
-// representation-independent launch is startProblem, shared with StartSparse.
+// run's monitor goroutine, which snapshots θ0 and then starts the workers and
+// auxiliary goroutines, returning immediately with a handle on the live run.
+// The dense-representation checks live here; the representation-independent
+// launch is startProblem, shared with StartSparse.
 func Start(cfg Config, net *nn.Network, ds *data.Dataset) (*Running, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
@@ -146,18 +147,25 @@ func launch(cfg Config, prob problem, rs *resumeState) (*Running, error) {
 		return nil, fmt.Errorf("sgd: unknown algorithm %v", cfg.Algo)
 	}
 	r := &Running{rt: rt, st: st, done: make(chan struct{})}
-	rt.runWorkers(&r.wg, st)
-	st.launchAux(&r.wg)
 	go r.finish()
 	return r, nil
 }
 
-// finish runs the monitor, quiesces the workers, closes the live-read window
-// and fills the Result — the post-launch half of the old Run body.
+// finish is the run's monitor goroutine: it snapshots θ0, launches the
+// workers and auxiliary goroutines, runs the monitor, quiesces the workers,
+// closes the live-read window and fills the Result.
 func (r *Running) finish() {
 	rt, st := r.rt, r.st
 	cfg := rt.cfg
-	res := rt.monitor(st)
+	// The θ0 snapshot precedes every worker, so Result.InitialLoss (and
+	// with it TargetLoss) is the loss at θ0 exactly, not some updates past
+	// it. Taking it here rather than in launch keeps its cost, a first
+	// touch of d fresh floats, off the Start path.
+	theta0 := make([]float64, rt.d)
+	st.snapshot(theta0)
+	rt.runWorkers(&r.wg, st)
+	st.launchAux(&r.wg)
+	res := rt.monitor(st, theta0)
 	rt.stop.Store(true)
 	rt.stopOnce.Do(func() { close(rt.stopped) })
 	r.wg.Wait()
