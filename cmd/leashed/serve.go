@@ -31,8 +31,7 @@ func runServe(args []string) {
 	batch := fs.Int("batch", 16, "mini-batch size")
 	autoTune := fs.Bool("autotune", true, "jointly autotune shard count and persistence bound")
 	budget := fs.Duration("budget", 60*time.Second, "training time budget (serving continues on the final parameters)")
-	maxBatch := fs.Int("max-batch", 0, "max coalesced predict batch size (0 = default)")
-	maxDelay := fs.Duration("max-delay", 0, "max request coalescing delay (0 = default, negative = disable)")
+	maxBatch := fs.Int("max-batch", 0, "max predict batch size: requests queued during a forward pass share the next one (0 = default)")
 	store := fs.String("store", serve.StoreLeased, "parameter read path: leased (per-chain seqlock leases) or readfront (RCU snapshot store)")
 	leashAge := fs.Duration("leash-age", 0, "readfront: max wall time a served snapshot may lag (0 = default 2ms)")
 	leashUpdates := fs.Int64("leash-updates", 0, "readfront: max published updates a served snapshot may lag (0 = age bound only)")
@@ -77,7 +76,6 @@ func runServe(args []string) {
 
 	srv, err := serve.New(net, run, serve.Config{
 		MaxBatch: *maxBatch,
-		MaxDelay: *maxDelay,
 		Store:    *store,
 		Leash:    paramvec.ReadLeash{MaxAge: *leashAge, MaxUpdates: *leashUpdates},
 	})

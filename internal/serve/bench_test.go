@@ -72,8 +72,8 @@ func liveServer(b *testing.B, store string, cfg Config) (*nn.Network, *Server) {
 var storeCmp = struct {
 	sync.Mutex
 	p99  map[string]float64 // single-client p99, µs (min across runs)
-	qps  map[string]float64 // 8-client coalesced throughput, req/s (max)
-	qps8 map[string]float64 // 8-client uncoalesced read throughput, req/s (max)
+	qps  map[string]float64 // 8-client batched throughput, req/s (max)
+	qps8 map[string]float64 // 8-client unbatched read throughput, req/s (max)
 	n    int                // largest per-cell b.N observed (assertion gate)
 }{
 	p99:  map[string]float64{},
@@ -94,12 +94,12 @@ func recordMax(m map[string]float64, k string, v float64) {
 }
 
 // BenchmarkServePredictLatency is the single-client floor at equal live
-// training load: sequential predicts with coalescing disabled, so every
-// request pays one parameter read + one B=1 forward — leased vs readfront.
+// training load: sequential predicts with MaxBatch 1, so every request pays
+// one parameter read + one B=1 forward — leased vs readfront.
 func BenchmarkServePredictLatency(b *testing.B) {
 	for _, store := range benchStores {
 		b.Run("store="+store, func(b *testing.B) {
-			net, s := liveServer(b, store, Config{MaxDelay: -1, MaxBatch: 1})
+			net, s := liveServer(b, store, Config{MaxBatch: 1})
 			x := make([]float64, net.InDim())
 			for i := range x {
 				x[i] = float64(i%17) / 17
@@ -125,15 +125,15 @@ func BenchmarkServePredictLatency(b *testing.B) {
 	}
 }
 
-// BenchmarkServeThroughputBatched is the coalescing path under concurrent
+// BenchmarkServeThroughputBatched is the batching path under concurrent
 // load at equal live training load: a fixed pool of 8 closed-loop clients
 // (fixed, not GOMAXPROCS, so the batch sizes are comparable across machines)
-// splits b.N requests, and the dispatcher folds them into shared
-// ForwardBatch calls — leased vs readfront.
+// splits b.N requests, and the dispatcher serves whatever queued during each
+// forward pass in one shared ForwardBatch call — leased vs readfront.
 func BenchmarkServeThroughputBatched(b *testing.B) {
 	for _, store := range benchStores {
 		b.Run("store="+store, func(b *testing.B) {
-			net, s := liveServer(b, store, Config{MaxBatch: 32, MaxDelay: 200 * time.Microsecond})
+			net, s := liveServer(b, store, Config{MaxBatch: 32})
 			const clients = 8
 			b.ResetTimer()
 			var wg sync.WaitGroup
@@ -176,7 +176,7 @@ func BenchmarkServeThroughputBatched(b *testing.B) {
 }
 
 // BenchmarkServeReadContention is the readers≫writers regime: 8 and 16
-// closed-loop clients with coalescing disabled (MaxBatch 1), so every request
+// closed-loop clients with batching disabled (MaxBatch 1), so every request
 // is one parameter read racing 2 training workers' publishes across 64
 // chains. This is where the store choice dominates: the leased path's
 // per-chain reader registrations ping-pong the publishers' cache lines, the
@@ -187,7 +187,7 @@ func BenchmarkServeReadContention(b *testing.B) {
 	for _, clients := range []int{8, 16} {
 		for _, store := range benchStores {
 			b.Run(fmt.Sprintf("clients=%d/store=%s", clients, store), func(b *testing.B) {
-				net, s := liveServer(b, store, Config{MaxBatch: 1, MaxDelay: -1})
+				net, s := liveServer(b, store, Config{MaxBatch: 1})
 				b.ResetTimer()
 				var wg sync.WaitGroup
 				for c := 0; c < clients; c++ {

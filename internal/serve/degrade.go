@@ -46,8 +46,8 @@ func (d *degradeState) noteShed() {
 	d.lastShed.Store(time.Now().UnixNano())
 }
 
-func (d *degradeState) noteExpired(n int) {
-	d.expired.Add(int64(n))
+func (d *degradeState) noteExpired() {
+	d.expired.Add(1)
 	d.lastShed.Store(time.Now().UnixNano())
 }
 
@@ -117,17 +117,15 @@ func (s *Server) expireStale(pend []request, now time.Time) []request {
 		return pend
 	}
 	live := pend[:0]
-	dropped := 0
 	for _, r := range pend {
 		if now.Sub(r.enq) > s.cfg.Deadline {
+			// Count before replying, so a caller that has its
+			// ErrDeadline always finds it in Stats.
+			s.degrade.noteExpired()
 			r.resp <- result{err: ErrDeadline}
-			dropped++
 			continue
 		}
 		live = append(live, r)
-	}
-	if dropped > 0 {
-		s.degrade.noteExpired(dropped)
 	}
 	return live
 }

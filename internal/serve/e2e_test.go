@@ -49,7 +49,7 @@ func TestServeWhileTrainingE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(net, run, Config{MaxBatch: 8, MaxDelay: 500 * time.Microsecond})
+	s, err := New(net, run, Config{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestServeWhileTrainingE2E(t *testing.T) {
 			}
 			break
 		}
-		// A batch coalesced with stragglers from the live window may
+		// A batch read just before training ended may
 		// predate the flip; retry briefly.
 		if time.Now().After(deadline) {
 			t.Fatalf("prediction never labeled Final after training ended: %+v", p)

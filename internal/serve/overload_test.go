@@ -53,7 +53,7 @@ func slowServer(t testing.TB, cfg Config, stall time.Duration) (*Server, func([]
 // overflow Predicts must fail fast with ErrOverloaded (never block), the
 // sheds must be counted, and the served requests still answer correctly.
 func TestShedOnFullQueue(t *testing.T) {
-	s, predict, x := slowServer(t, Config{MaxBatch: 1, MaxDelay: -1, Queue: 1}, 20*time.Millisecond)
+	s, predict, x := slowServer(t, Config{MaxBatch: 1, Queue: 1}, 20*time.Millisecond)
 
 	const clients = 16
 	var shed, served atomic.Int64
@@ -94,7 +94,7 @@ func TestShedOnFullQueue(t *testing.T) {
 // budget are answered ErrDeadline without a forward pass.
 func TestDeadlineExpiresQueuedRequests(t *testing.T) {
 	s, predict, x := slowServer(t, Config{
-		MaxBatch: 1, MaxDelay: -1, Queue: 8, Deadline: 5 * time.Millisecond,
+		MaxBatch: 1, Queue: 8, Deadline: 5 * time.Millisecond,
 	}, 20*time.Millisecond)
 
 	var expired, served atomic.Int64
@@ -128,7 +128,7 @@ func TestDeadlineExpiresQueuedRequests(t *testing.T) {
 // report degraded (503), lets the pressure clear, and sees it flip back to
 // ok (200) — the drain-and-recover contract a load balancer relies on.
 func TestHealthzDegradedFlip(t *testing.T) {
-	s, predict, x := slowServer(t, Config{MaxBatch: 1, MaxDelay: -1, Queue: 1}, 10*time.Millisecond)
+	s, predict, x := slowServer(t, Config{MaxBatch: 1, Queue: 1}, 10*time.Millisecond)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -206,7 +206,7 @@ func (g *gatedSource) ReadParams(l *paramvec.Lease, scratch []float64, fn func(p
 func TestOverloadedHTTPStatus(t *testing.T) {
 	net, static := staticFixture(t)
 	src := &gatedSource{StaticSource: static, entered: make(chan struct{}, 1), release: make(chan struct{})}
-	s, err := New(net, src, Config{MaxBatch: 1, MaxDelay: -1, Queue: 1})
+	s, err := New(net, src, Config{MaxBatch: 1, Queue: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestOverloadedHTTPStatus(t *testing.T) {
 // the p99 latency of ACCEPTED requests stays bounded by the queue depth, not
 // the offered load.
 func BenchmarkServeOverload(b *testing.B) {
-	s, predict, x := slowServer(b, Config{MaxBatch: 4, MaxDelay: -1, Queue: 8}, 500*time.Microsecond)
+	s, predict, x := slowServer(b, Config{MaxBatch: 4, Queue: 8}, 500*time.Microsecond)
 
 	const clients = 16
 	var wg sync.WaitGroup

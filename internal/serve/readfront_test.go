@@ -93,8 +93,7 @@ func TestServeReadFrontE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := New(net, run, Config{
-		MaxBatch: 8, MaxDelay: 500 * time.Microsecond,
-		Store: StoreReadFront, Leash: leash,
+		MaxBatch: 8, Store: StoreReadFront, Leash: leash,
 	})
 	if err != nil {
 		run.Stop()

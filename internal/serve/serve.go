@@ -1,11 +1,14 @@
 // Package serve is the online inference tier: it answers predict requests
 // against the LIVE parameters of a training run — the natural consumer of
-// the paper's bounded-staleness read guarantee. Requests are coalesced by a
-// small batcher (max-batch + max-delay) into one blocked-GEMM forward chain
-// (nn.ForwardBatch) per batch, computed against a zero-copy leased view of
-// the published ParamStore (paramvec.Lease via sgd.Running.ReadParams), so
-// serving a batch costs one leased read regardless of batch size and never
-// blocks the workers' LAU-SPC publishes or the autotuner's re-shards.
+// the paper's bounded-staleness read guarantee. One dispatcher drains the
+// queue greedily: it blocks for the first request, takes whatever else is
+// already queued (up to MaxBatch) and answers the batch with one blocked-GEMM
+// forward chain (nn.ForwardBatch) against a zero-copy leased view of the
+// published ParamStore (paramvec.Lease via sgd.Running.ReadParams). Requests
+// that arrive during a forward pass ride the next one, so batches grow with
+// the load and no request waits on a timer. Serving a batch costs one leased
+// read regardless of batch size and never blocks the workers' LAU-SPC
+// publishes or the autotuner's re-shards.
 //
 // Every prediction carries the read's consistency metadata: provably
 // consistent vs. possibly mixed-version (the seqlock classification),
@@ -98,14 +101,10 @@ const (
 
 // Config are the batcher knobs.
 type Config struct {
-	// MaxBatch is the largest number of requests coalesced into one
-	// forward pass. Default 32.
+	// MaxBatch is the largest number of queued requests the dispatcher
+	// takes into one forward pass; it never waits for a batch to fill.
+	// Default 32.
 	MaxBatch int
-	// MaxDelay is how long the batcher waits for a batch to fill after
-	// the first request arrives — the latency the tail of a batch pays to
-	// amortize the leased read and the GEMM chain. Default 2ms; negative
-	// disables waiting (dispatch immediately with whatever is queued).
-	MaxDelay time.Duration
 	// Queue is the pending-request buffer size. Default 256.
 	Queue int
 	// Store selects the parameter read path: StoreLeased (default) or
@@ -131,9 +130,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 2 * time.Millisecond
 	}
 	if c.Queue <= 0 {
 		c.Queue = 256
@@ -171,7 +167,7 @@ type Prediction struct {
 	StalenessAge time.Duration `json:"staleness_age_ns,omitempty"`
 	// Chains the leased view spanned (1 = flat).
 	Chains int `json:"chains"`
-	// Batch is the coalesced batch size this request was served in.
+	// Batch is the size of the batch this request was served in.
 	Batch int `json:"batch"`
 }
 
@@ -189,7 +185,7 @@ type result struct {
 	err  error
 }
 
-// Server is the request-coalescing inference server. One dispatcher
+// Server is the request-batching inference server. One dispatcher
 // goroutine owns the workspace, the lease and the scratch buffer; any
 // number of goroutines may call Predict concurrently.
 type Server struct {
@@ -297,9 +293,10 @@ func (s *Server) Predict(x []float64) (Prediction, error) {
 	return out.pred, out.err
 }
 
-// dispatch is the batcher loop: block for the first request, then coalesce
-// until MaxBatch or MaxDelay, serve the batch through one leased read and
-// one ForwardBatch, reply per request.
+// dispatch is the batcher loop: block for the first request, take whatever
+// else is already queued up to MaxBatch, serve the batch through one leased
+// read and one ForwardBatch, reply per request. Requests that arrive while a
+// batch is being served are queued for the next one.
 func (s *Server) dispatch() {
 	defer s.wg.Done()
 	ws := s.net.NewWorkspace()
@@ -307,7 +304,10 @@ func (s *Server) dispatch() {
 	scratch := make([]float64, s.src.Dim()) // copy-read staging (non-leased sources)
 	pend := make([]request, 0, s.cfg.MaxBatch)
 	xs := make([][]float64, 0, s.cfg.MaxBatch)
-	var timer *time.Timer
+	// One forward callback for the server's lifetime: a literal built per
+	// batch would escape to the heap, together with the logits it captures.
+	var logits tensor.Mat
+	forward := func(pv paramvec.View) { logits = s.net.ForwardBatch(pv, xs, ws) }
 	for {
 		pend = pend[:0]
 		select {
@@ -317,42 +317,15 @@ func (s *Server) dispatch() {
 			s.drain(pend)
 			return
 		}
-		if s.cfg.MaxDelay > 0 && len(pend) < s.cfg.MaxBatch {
-			if timer == nil {
-				timer = time.NewTimer(s.cfg.MaxDelay)
-			} else {
-				timer.Reset(s.cfg.MaxDelay)
-			}
-		collect:
-			for len(pend) < s.cfg.MaxBatch {
-				select {
-				case r := <-s.reqs:
-					pend = append(pend, r)
-				case <-timer.C:
-					break collect
-				case <-s.quit:
-					s.drain(pend)
-					return
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-		} else {
-			// No coalescing delay: take whatever is already queued.
-			for len(pend) < s.cfg.MaxBatch {
-				select {
-				case r := <-s.reqs:
-					pend = append(pend, r)
-				default:
-					goto serve
-				}
+	fill:
+		for len(pend) < s.cfg.MaxBatch {
+			select {
+			case r := <-s.reqs:
+				pend = append(pend, r)
+			default:
+				break fill
 			}
 		}
-	serve:
 		if inj := s.cfg.FaultInjector; inj != nil {
 			if f := inj.Decide(faultinject.ServeDispatch); f.Kind == faultinject.KindStall {
 				time.Sleep(f.Stall)
@@ -366,10 +339,7 @@ func (s *Server) dispatch() {
 		for _, r := range pend {
 			xs = append(xs, r.x)
 		}
-		var logits tensor.Mat
-		meta := s.src.ReadParams(&lease, scratch, func(pv paramvec.View) {
-			logits = s.net.ForwardBatch(pv, xs, ws)
-		})
+		meta := s.src.ReadParams(&lease, scratch, forward)
 		B := len(pend)
 		// Count the batch before replying, so a caller that has its
 		// answer always finds it in Stats.
@@ -473,6 +443,16 @@ func (st *serverStats) observe(pend []request, now time.Time, meta sgd.ReadMeta)
 	}
 }
 
+// quantile returns the q-quantile of the request latencies: the upper edge of
+// its histogram bucket, capped at the slowest request (0 before any request
+// is served). Callers hold st.mu.
+func (st *serverStats) quantile(q float64) time.Duration {
+	if st.lat.Count() == 0 {
+		return 0
+	}
+	return min(time.Duration(st.lat.Quantile(q)+1)*latencyUnit, st.maxLat)
+}
+
 // Stats is a snapshot of the server's counters and latency distribution.
 type Stats struct {
 	// Requests answered and batches served; MeanBatch = Requests/Batches,
@@ -481,7 +461,10 @@ type Stats struct {
 	Batches   int64
 	MeanBatch float64
 	// Request latency quantiles: enqueue to response write (queueing +
-	// coalescing delay + leased read + forward pass).
+	// leased read + forward pass). P50 and P99 are the upper edge of their
+	// 10µs histogram bucket, capped at MaxLatency, so they bound the true
+	// quantile from above by less than 10µs and are never 0 once a
+	// request has been served.
 	P50, P99, MaxLatency time.Duration
 	// Consistency labels, in requests: provably consistent live reads,
 	// possibly mixed-version live reads, reads whose lease outlived its
@@ -510,8 +493,8 @@ func (s *Server) Stats() Stats {
 	out := Stats{
 		Requests:     st.requests,
 		Batches:      st.batches,
-		P50:          time.Duration(st.lat.Quantile(0.50)) * latencyUnit,
-		P99:          time.Duration(st.lat.Quantile(0.99)) * latencyUnit,
+		P50:          st.quantile(0.50),
+		P99:          st.quantile(0.99),
 		MaxLatency:   st.maxLat,
 		Consistent:   st.consistent,
 		Mixed:        st.mixed,

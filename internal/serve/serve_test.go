@@ -6,13 +6,17 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"leashedsgd/internal/metrics"
 	"leashedsgd/internal/nn"
 	"leashedsgd/internal/rng"
+	"leashedsgd/internal/sgd"
+	"leashedsgd/internal/tensor"
 )
 
 func staticFixture(t testing.TB) (*nn.Network, StaticSource) {
@@ -48,7 +52,7 @@ func checkPrediction(t *testing.T, net *nn.Network, p Prediction) {
 
 func TestPredictStaticSource(t *testing.T) {
 	net, src := staticFixture(t)
-	s, err := New(net, src, Config{MaxDelay: -1})
+	s, err := New(net, src, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,54 +89,152 @@ func TestPredictStaticSource(t *testing.T) {
 	}
 }
 
-// Concurrent requests under a coalescing delay get batched: with many
-// clients in flight the mean batch size must exceed 1, and every request
-// still gets its own correct answer.
+// The dispatcher drains greedily: while it is held inside one read, 40 more
+// requests queue up; once released it serves them as batches of 16, 16 and
+// 8 (MaxBatch 16), and every request gets its own correct answer.
 func TestBatcherCoalesces(t *testing.T) {
-	net, src := staticFixture(t)
-	s, err := New(net, src, Config{MaxBatch: 16, MaxDelay: 5 * time.Millisecond})
+	net, static := staticFixture(t)
+	src := &gatedSource{StaticSource: static, entered: make(chan struct{}, 1), release: make(chan struct{})}
+	s, err := New(net, src, Config{MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	const clients = 8
-	const perClient = 30
+	const queued = 40
+	xs := make([][]float64, queued+1)
+	for i := range xs {
+		xs[i] = make([]float64, net.InDim())
+		for j := range xs[i] {
+			xs[i][j] = float64((i*7+j)%19)/19 - 0.5
+		}
+	}
+	preds := make([]Prediction, len(xs))
 	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
+	predict := func(i int) {
+		defer wg.Done()
+		p, err := s.Predict(xs[i])
+		if err != nil {
+			t.Errorf("request %d: %v", i, err)
+			return
+		}
+		preds[i] = p
+	}
+	wg.Add(1)
+	go predict(0)
+	<-src.entered // the dispatcher holds request 0 inside its read
+	for i := 1; i <= queued; i++ {
 		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			x := make([]float64, net.InDim())
-			for i := range x {
-				x[i] = float64(c + i)
-			}
-			for i := 0; i < perClient; i++ {
-				p, err := s.Predict(x)
-				if err != nil {
-					t.Errorf("client %d: %v", c, err)
-					return
-				}
-				checkPrediction(t, net, p)
-			}
-		}(c)
+		go predict(i)
 	}
+	for len(s.reqs) < queued {
+		runtime.Gosched()
+	}
+	close(src.release)
 	wg.Wait()
-	st := s.Stats()
-	if st.Requests != clients*perClient {
-		t.Fatalf("answered %d requests, want %d", st.Requests, clients*perClient)
+	if t.Failed() {
+		return
 	}
-	if st.MeanBatch <= 1 {
-		t.Fatalf("mean batch = %v; coalescing never engaged", st.MeanBatch)
+
+	ws := net.NewWorkspace()
+	want := make([]float64, net.OutDim())
+	sizes := map[int]int{}
+	for i, p := range preds {
+		checkPrediction(t, net, p)
+		if i > 0 {
+			sizes[p.Batch]++
+		}
+		nn.SoftmaxInto(net.Forward(static, xs[i], ws), want)
+		for k := range want {
+			if math.Abs(p.Probs[k]-want[k]) > 1e-12 {
+				t.Fatalf("request %d: probs[%d] = %v, want %v", i, k, p.Probs[k], want[k])
+			}
+		}
+		if p.Class != tensor.ArgMax(want) {
+			t.Fatalf("request %d: class %d, want %d", i, p.Class, tensor.ArgMax(want))
+		}
 	}
-	t.Logf("batches=%d meanBatch=%.1f p50=%v p99=%v", st.Batches, st.MeanBatch, st.P50, st.P99)
+	if preds[0].Batch != 1 {
+		t.Fatalf("held request served in a batch of %d, want 1", preds[0].Batch)
+	}
+	// 32 requests labeled 16 (two batches) and 8 labeled 8 (one batch).
+	if len(sizes) != 2 || sizes[16] != 32 || sizes[8] != 8 {
+		t.Fatalf("queued requests by batch label = %v, want map[8:8 16:32]", sizes)
+	}
+	if st := s.Stats(); st.Requests != queued+1 || st.Batches != 4 {
+		t.Fatalf("stats = %+v, want %d requests in 4 batches", st, queued+1)
+	}
+}
+
+// A served request reports a latency quantile above 0 and at most the
+// slowest request, also when every request is answered within the 10µs
+// histogram resolution.
+func TestStatsQuantilesNeverZero(t *testing.T) {
+	var st serverStats
+	st.lat = metrics.NewHist(latencyBound)
+	now := time.Now()
+	st.observe([]request{{enq: now.Add(-2 * time.Microsecond)}, {enq: now.Add(-3 * time.Microsecond)}, {enq: now.Add(-4 * time.Microsecond)}},
+		now, sgd.ReadMeta{Consistent: true})
+	if got := st.quantile(0.5); got <= 0 || got > st.maxLat {
+		t.Fatalf("sub-10µs P50 = %v, want in (0, %v]", got, st.maxLat)
+	}
+	if got := st.quantile(0.99); got != 4*time.Microsecond {
+		t.Fatalf("sub-10µs P99 = %v, want the 4µs max", got)
+	}
+	// Above the resolution, the quantile is its bucket's upper edge.
+	st.observe([]request{{enq: now.Add(-43 * time.Microsecond)}}, now, sgd.ReadMeta{Consistent: true})
+	st.observe([]request{{enq: now.Add(-57 * time.Microsecond)}}, now, sgd.ReadMeta{Consistent: true})
+	if got := st.quantile(0.99); got != 50*time.Microsecond {
+		t.Fatalf("P99 = %v, want 50µs (upper edge of the bucket holding 43µs)", got)
+	}
+	if got := st.quantile(1); got != 57*time.Microsecond {
+		t.Fatalf("P100 = %v, want the 57µs max, not its 60µs bucket edge", got)
+	}
+
+	// The same through a real server, however fast it answers.
+	net, src := staticFixture(t)
+	s, err := New(net, src, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	x := make([]float64, net.InDim())
+	for i := 0; i < 20; i++ {
+		if _, err := s.Predict(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := s.Stats()
+	if got.P50 <= 0 || got.P50 > got.MaxLatency || got.P99 < got.P50 || got.P99 > got.MaxLatency {
+		t.Fatalf("stats P50 %v, P99 %v, MaxLatency %v: want 0 < P50 ≤ P99 ≤ MaxLatency", got.P50, got.P99, got.MaxLatency)
+	}
+}
+
+// Predict allocates only the reply channel and the reply's Probs (plus
+// slack for the runtime): the dispatcher allocates nothing per batch.
+func TestPredictAllocs(t *testing.T) {
+	net, src := staticFixture(t)
+	s, err := New(net, src, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	x := make([]float64, net.InDim())
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := s.Predict(x); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("Predict made %.1f allocations per call, want at most 3", allocs)
+	}
 }
 
 // Stats counts a request before its caller gets the answer: read right
 // after any Predict returns, Requests covers every answer returned so far.
 func TestStatsCountAnsweredRequests(t *testing.T) {
 	net, src := staticFixture(t)
-	s, err := New(net, src, Config{MaxBatch: 4, MaxDelay: -1})
+	s, err := New(net, src, Config{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +267,7 @@ func TestStatsCountAnsweredRequests(t *testing.T) {
 
 func TestCloseRejectsAndDrains(t *testing.T) {
 	net, src := staticFixture(t)
-	s, err := New(net, src, Config{MaxDelay: -1})
+	s, err := New(net, src, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +280,7 @@ func TestCloseRejectsAndDrains(t *testing.T) {
 
 func TestHTTPHandler(t *testing.T) {
 	net, src := staticFixture(t)
-	s, err := New(net, src, Config{MaxDelay: -1})
+	s, err := New(net, src, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,7 +176,7 @@ func TestServeNeverTornAcrossStoreSwaps(t *testing.T) {
 
 	// The real serving path on top: HTTP-free Predict clients through the
 	// batcher.
-	s, err := New(net, src, Config{MaxBatch: 8, MaxDelay: -1})
+	s, err := New(net, src, Config{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
