@@ -5,10 +5,10 @@
 // already queued (up to MaxBatch) and answers the batch with one blocked-GEMM
 // forward chain (nn.ForwardBatch) against a zero-copy leased view of the
 // published ParamStore (paramvec.Lease via sgd.Running.ReadParams). Requests
-// that arrive during a forward pass ride the next one, so batches grow with
-// the load and no request waits on a timer. Serving a batch costs one leased
-// read regardless of batch size and never blocks the workers' LAU-SPC
-// publishes or the autotuner's re-shards.
+// that arrive during a forward pass ride the next one, so no request waits on
+// a timer and batches grow only when requests queue faster than they are
+// served. Serving a batch costs one leased read regardless of batch size and
+// never blocks the workers' LAU-SPC publishes or the autotuner's re-shards.
 //
 // Every prediction carries the read's consistency metadata: provably
 // consistent vs. possibly mixed-version (the seqlock classification),
@@ -462,8 +462,8 @@ type Stats struct {
 	MeanBatch float64
 	// Request latency quantiles: enqueue to response write (queueing +
 	// leased read + forward pass). P50 and P99 are the upper edge of their
-	// 10µs histogram bucket, capped at MaxLatency, so they bound the true
-	// quantile from above by less than 10µs and are never 0 once a
+	// 10µs histogram bucket, capped at MaxLatency: up to 10µs above the
+	// true quantile (below the 200ms histogram bound) and never 0 once a
 	// request has been served.
 	P50, P99, MaxLatency time.Duration
 	// Consistency labels, in requests: provably consistent live reads,
